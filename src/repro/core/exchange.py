@@ -87,6 +87,36 @@ def order_received(comm: Comm, chunks: Sequence[RecordBatch], *,
     return out, ExchangeStats("sync", ordering, m, len(chunks))
 
 
+def sync_exchange_plan(displs: Sequence[np.ndarray], offs: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """Sparse (COO) plan of one synchronous exchange.
+
+    ``displs[s]`` is source ``s``'s canonical ``p+1`` partition bounds
+    (:func:`check_displs`) and ``offs`` the start of each source's batch
+    in the concatenated send buffers.  Returns ``(src, dst, count,
+    displ)`` with one entry per nonzero cell of the count matrix —
+    ``count`` records starting at global row ``displ`` go from ``src``
+    to ``dst`` — in destination-major order with sources ascending
+    inside each destination (the ``alltoallv`` delivery order).  Every
+    entry carries at least one record, so ``nnz <= min(p^2, N)``; no
+    ``(p, p)`` array is ever built.
+    """
+    dsts, counts, starts = [], [], []
+    for s, d in enumerate(displs):
+        c = d[1:] - d[:-1]
+        nz = np.flatnonzero(c)
+        dsts.append(nz)
+        counts.append(c[nz])
+        starts.append(d[nz] + offs[s])
+    src = np.repeat(np.arange(len(dsts), dtype=np.int64),
+                    [len(nz) for nz in dsts])
+    dst = np.concatenate(dsts).astype(np.int64, copy=False)
+    order = np.argsort(dst, kind="stable")            # src-major -> dst-major
+    return (src[order], dst[order], np.concatenate(counts)[order],
+            np.concatenate(starts)[order])
+
+
 def sync_exchange_compute(stage: list, *, p: int, merge: bool,
                           stable: bool) -> dict:
     """Whole-world compute of the fused synchronous exchange.
@@ -97,28 +127,39 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     staged collective's action) and the flat backend (called directly on
     a synthesized stage); see :func:`exchange_sync_fused` for the
     exactness audit.
+
+    The plan is sparse (:func:`sync_exchange_plan`): the alltoallv
+    accounting, the gather indices and the per-destination bounds are
+    exact int64 reductions over its O(nnz + p) entries, reached through
+    O(p) Python loop trips, and no ``(p, p)`` array is held.
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
-    D = np.stack([e[0][1] for e in stage])            # (p, p+1) bounds
-    C = np.diff(D, axis=1)                            # counts[src, dst]
     widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
-    S = C * widths[:, None]                           # bytes[src, dst]
-    max_send, max_recv, total, send_tot, recv_tot = \
-        Comm.size_scan_matrix(S)
     all_keys, all_cols, offs = concat_batch_arrays(batches)
+    src, dst, count, displ = sync_exchange_plan(
+        [e[0][1] for e in stage], offs)
+    N = int(offs[-1])
+
+    # -- alltoallv accounting: own chunks count in total, not per rank --
+    nbytes = count * widths[src]
+    own = src == dst
+    diag = np.zeros(p, dtype=np.int64)                # bytes a rank keeps
+    diag[src[own]] = nbytes[own]
+    dst_ptr = np.searchsorted(dst, np.arange(p + 1, dtype=np.int64))
+    csum = np.zeros(len(nbytes) + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=csum[1:])
+    recv_all = np.diff(csum[dst_ptr])                 # includes own chunk
+    send_all = np.diff(offs) * widths
+    send_tot = send_all - diag
+    recv_tot = recv_all - diag
 
     # -- gather indices, destination-major in source order --
-    starts = offs[:-1][None, :] + D[:, :p].T          # (dst, src)
-    lens = C.T                                        # (dst, src)
-    flat_lens = lens.ravel()
-    N = int(offs[-1])
-    excl = np.cumsum(flat_lens) - flat_lens
-    G = (np.repeat(starts.ravel() - excl, flat_lens)
+    excl = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=excl[1:])
+    G = (np.repeat(displ - excl[:-1], count)
          + np.arange(N, dtype=np.int64))
-    m_per_dst = C.sum(axis=0)
-    bounds = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(m_per_dst, out=bounds[1:])
+    bounds = excl[dst_ptr]
 
     # -- final local ordering of every destination, once --
     keys_g = all_keys[G]
@@ -135,26 +176,28 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
         final[lo:hi] = G[lo:hi][perm]
     return {
         "t": start,
-        "max_send": max_send, "max_recv": max_recv, "total": total,
+        "max_send": int(send_tot.max()), "max_recv": int(recv_tot.max()),
+        "total": int(send_all.sum()),
         "send_tot": send_tot, "recv_tot": recv_tot,
-        "recv_all": S.sum(axis=0),                    # includes own chunk
-        "S": S,                                       # bytes[src, dst]
-        "m": m_per_dst,
+        "recv_all": recv_all,
+        "m": np.diff(bounds),
         "keys": all_keys, "cols": all_cols,
         "final": final, "bounds": bounds,
     }
 
 
 def _sync_exchange_network(comm: Comm, shared: dict,
-                           send_nbytes: int) -> None:
+                           deposit: tuple[RecordBatch, np.ndarray]) -> None:
     """Per-rank ``alltoallv`` epilogue of the fused synchronous exchange.
 
     Runs inside the ``exchange`` phase: memory for the received data is
     allocated, the clock advances by the rank's own ``alltoallv_time``
     replay, byte/collective counters land, and the send buffer is
-    released.  Shared by :func:`exchange_sync_fused` and the flat
-    backend's exchange path.
+    released.  ``deposit`` is the rank's own ``(batch, displs)``; its
+    dense per-destination byte row is built only when traced.  Shared
+    by :func:`exchange_sync_fused` and the flat backend's exchange path.
     """
+    batch, displs = deposit
     p, me = comm.size, comm.rank
     recv_bytes = int(shared["recv_tot"][me])
     comm.mem.alloc(recv_bytes)
@@ -168,11 +211,11 @@ def _sync_exchange_network(comm: Comm, shared: dict,
         comm.trace_collective(
             "alltoallv", shared["t"], dt, comm.cost.alltoallv_time(
                 p, 0, ranks_per_node=comm.ranks_per_node, total_bytes=0))
-        comm.trace_edges(shared["S"][me])
+        comm.trace_edges(np.diff(displs) * batch.row_nbytes)
     comm.count("coll.alltoallv")
     comm.count("bytes.recv", recv_bytes)
     comm.count("bytes.sent", int(shared["send_tot"][me]))
-    comm.mem.free(send_nbytes)                        # send buffer released
+    comm.mem.free(batch.nbytes)                       # send buffer released
 
 
 def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
@@ -230,10 +273,11 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
     :func:`exchange_sync` (``alltoallv``) followed by
     :func:`order_received`, but none of the seed-era per-rank costs are
     paid: the p^2 ``RecordBatch`` sub-batches are never materialised,
-    the p x p size matrix is derived once from the ``(batch, displs)``
-    deposits (counts x row bytes — the same integers
-    ``RecordBatch.split`` pre-computes), and the final ordering of
-    every destination happens once, inside the designated-rank action.
+    the sparse exchange plan is derived once from the ``(batch,
+    displs)`` deposits (counts x row bytes of the nonzero cells — the
+    same integers ``RecordBatch.split`` pre-computes), and the final
+    ordering of every destination happens once, inside the
+    designated-rank action.
     Each rank then reads back its clock, counters, memory charges and
     output slice in O(m + p).
 
@@ -243,9 +287,9 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
 
     Exactness notes (audited against the per-rank formulation):
 
-    * ``alltoallv`` accounting reuses :meth:`Comm.size_scan_matrix` —
-      the exact quantities ``Comm._size_scan`` derives from staged size
-      vectors — and each rank replays the same scalar
+    * ``alltoallv`` accounting computes, as exact int64 sums over the
+      plan's nonzero cells, the quantities ``Comm._size_scan`` derives
+      from staged size vectors — and each rank replays the same scalar
       ``alltoallv_time`` / ordering-cost calls the unfused path makes,
       so every IEEE operation sequence is unchanged;
     * destination ``d``'s input is its chunks concatenated in **source
@@ -272,7 +316,7 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
 
     with comm.phase("exchange"):
         shared, _ = comm.staged((batch, d), compute)
-        _sync_exchange_network(comm, shared, batch.nbytes)
+        _sync_exchange_network(comm, shared, (batch, d))
 
     with comm.phase("local_ordering"):
         out, stats = _sync_exchange_ordering(

@@ -694,7 +694,6 @@ class Exchange:
         for ctx in ctxs:
             ctx.plan.decide(mode_dec)
             ctx.plan.decide(ord_dec)
-        send_nbytes = [ctx.batch.nbytes for ctx in ctxs]
         stable = self.stable
         if mode == "sync":
             merge = p < tau_s
@@ -715,7 +714,7 @@ class Exchange:
                 shared, _ = world.collective(
                     acomms, deposits, compute,
                     lambda i, c, sh: _sync_exchange_network(
-                        c, sh, send_nbytes[i]))
+                        c, sh, deposits[i]))
             with world.phase([a for a in acomms if world.alive(a)],
                              "local_ordering"):
                 for i, ctx in enumerate(ctxs):
@@ -734,6 +733,7 @@ class Exchange:
             group = acomms[0]._ctx.group
             progress = acomms[0].cost.async_progress_overhead(p)
             traced = acomms[0].tracer is not None
+            send_nbytes = [ctx.batch.nbytes for ctx in ctxs]
 
             def compute(stage: list) -> dict:
                 return overlapped_exchange_compute(

@@ -166,6 +166,8 @@ def select_pivots_bitonic_world(world: World, comms: list[Comm],
     positions that landed in its block and an allgather assembles the
     full pivot vector (the assembly is identical on every rank, so it
     runs once and the shared pivot vector is handed to each live rank).
+    Each rank finds its own positions by one ``searchsorted`` over the
+    stride, so the host work is O(p) Python iterations, not O(p^2).
     Falls back to :func:`select_pivots_gather_world` when the
     communicator is not a power of two.
     """
@@ -177,13 +179,16 @@ def select_pivots_bitonic_world(world: World, comms: list[Comm],
     blocks = bitonic_sort_world(world, comms, pls)
     m = p - 1  # block length
     positions = _pivot_positions(p)
+    # rank r's block [r*m, (r+1)*m) holds positions[first[r]:first[r+1]]
+    first = np.searchsorted(positions, np.arange(p + 1, dtype=np.int64) * m)
     mines: list = [None] * len(comms)
     for i, c in enumerate(comms):
         if blocks[i] is None:
             continue
-        lo, hi = c.rank * m, (c.rank + 1) * m
+        r = c.rank
+        lo = r * m
         mines[i] = [(int(pos), blocks[i][pos - lo])
-                    for pos in positions if lo <= pos < hi]
+                    for pos in positions[first[r]:first[r + 1]]]
     contributions = world.allgather(comms, mines)
     pg = None
     outs: list = [None] * len(comms)

@@ -682,32 +682,21 @@ class Comm:
         return received
 
     @staticmethod
-    def size_scan_matrix(sizes: np.ndarray) -> tuple:
-        """Alltoallv accounting quantities from a ``(p, p)`` byte matrix.
+    def _size_scan(stage: list) -> tuple:
+        """Shared alltoallv accounting: one vectorised pass over the
+        p x p size matrix instead of O(p) Python scans on every rank.
 
-        Returns ``(max_send, max_recv, total_bytes, send_tot, recv_tot)``
-        where the per-rank totals exclude the diagonal (a rank's chunk
-        to itself never crosses the wire) while ``total_bytes`` includes
-        it (the fabric-cap term of :meth:`CostModel.alltoallv_time` is
-        calibrated on gross volume).  Public so fused exchanges that
-        *derive* the size matrix (counts x row bytes) charge the exact
-        integers :meth:`alltoallv` computes from staged size vectors.
+        Per-rank send/receive totals exclude the diagonal (a rank's
+        chunk to itself never crosses the wire) while the total bytes
+        include it (the fabric-cap term of
+        :meth:`CostModel.alltoallv_time` is calibrated on gross volume).
         """
+        sizes = np.array([e[0][1] for e in stage], dtype=np.int64)
         diag = np.diagonal(sizes)
         send_tot = sizes.sum(axis=1) - diag
         recv_tot = sizes.sum(axis=0) - diag
-        return (int(send_tot.max()), int(recv_tot.max()),
-                int(sizes.sum()), send_tot, recv_tot)
-
-    @staticmethod
-    def _size_scan(stage: list) -> tuple:
-        """Shared alltoallv accounting: one vectorised pass over the
-        p x p size matrix instead of O(p) Python scans on every rank."""
-        sizes = np.array([e[0][1] for e in stage], dtype=np.int64)
-        max_send, max_recv, total, send_tot, recv_tot = \
-            Comm.size_scan_matrix(sizes)
-        return (_max_clock(stage), max_send, max_recv, total,
-                send_tot, recv_tot, sizes)
+        return (_max_clock(stage), int(send_tot.max()), int(recv_tot.max()),
+                int(sizes.sum()), send_tot, recv_tot, sizes)
 
     def alltoallv(self, batches: Sequence[RecordBatch]) -> list[RecordBatch]:
         """Synchronous all-to-all of record batches (MPI_Alltoallv).

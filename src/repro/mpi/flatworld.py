@@ -223,9 +223,8 @@ class ColumnarWorld(World):
 
     def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
                   *, check: bool = True) -> list:
-        outs = self.allgather_staged(comms, values, lambda vals: vals,
-                                     check=check)
-        return [None if o is None else list(o) for o in outs]
+        """One shared immutable tuple per collective, not p private lists."""
+        return self.allgather_staged(comms, values, tuple, check=check)
 
     def split(self, comms: Sequence[Comm], colors: Sequence[Any],
               keys: Sequence[int] | None = None, *,

@@ -104,6 +104,12 @@ class World:
 
     def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
                   *, check: bool = True) -> list:
+        """Per-rank sequence of every rank's value, in rank order.
+
+        Results are **read-only**: the columnar view hands every rank
+        the same tuple (one per collective, so p ranks cost O(p), not
+        O(p^2)), and callers must not mutate what they receive.
+        """
         raise NotImplementedError
 
     def allgather_staged(self, comms: Sequence[Comm],

@@ -26,6 +26,7 @@ from .baselines import (
     radix_sort_world,
 )
 from .core import SdsParams, sds_sort, sds_sort_world
+from .core.bitonic import is_power_of_two
 from .machine import EDISON, MachineSpec
 from .metrics import check_sorted, rdfa, tb_per_min
 from .mpi import ColumnarWorld, Comm, run_spmd
@@ -64,6 +65,9 @@ class AlgorithmSpec:
     stable: bool = False
     summary: str = ""
     world_ctor: Callable[..., Any] | None = None
+    #: ``(p, n_per_rank) -> reason`` for run shapes the algorithm always
+    #: rejects (``None`` when it can run); checked at admission.
+    constraint: Callable[[int, int], str | None] | None = None
 
     def invoke(self, comm: Comm, batch: RecordBatch,
                opts: dict[str, Any] | None = None) -> Any:
@@ -86,6 +90,16 @@ class AlgorithmSpec:
         return self.world_ctor(world, comms, batches, **merged)
 
 
+def _power_of_two_p(p: int, n_per_rank: int) -> str | None:
+    return None if is_power_of_two(p) else f"needs a power-of-two p, got {p}"
+
+
+def _nonempty_shards(p: int, n_per_rank: int) -> str | None:
+    if p == 1 or n_per_rank >= 1:
+        return None
+    return f"cannot sample pivots from empty shards (n_per_rank=0 at p={p})"
+
+
 ALGORITHMS: dict[str, AlgorithmSpec] = {
     spec.name: spec
     for spec in (
@@ -100,6 +114,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
             summary="SDS-Sort with the stable partition/merge pipeline"),
         AlgorithmSpec(
             "psrs", psrs_sort, world_ctor=psrs_sort_world,
+            constraint=_nonempty_shards,
             summary="classic PSRS: regular sampling, no skew handling"),
         AlgorithmSpec(
             "hyksort", hyksort, params_type=HykParams,
@@ -111,6 +126,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
             summary="HykSort on (key, provenance): stability workaround"),
         AlgorithmSpec(
             "bitonic", bitonic_sort_batch, world_ctor=bitonic_sort_batch_world,
+            constraint=_power_of_two_p,
             summary="full bitonic sort network (small-p baseline)"),
         AlgorithmSpec(
             "radix", radix_sort, world_ctor=radix_sort_world,

@@ -99,6 +99,9 @@ class JobSpec:
         _require(isinstance(self.n_per_rank, int) and self.n_per_rank >= 0,
                  f"n_per_rank must be an integer >= 0, got "
                  f"{self.n_per_rank!r}")
+        constraint = ALGORITHMS[self.algorithm].constraint
+        reason = constraint and constraint(self.p, self.n_per_rank)
+        _require(not reason, f"algorithm {self.algorithm!r} {reason}")
         _require(self.procs is None
                  or (isinstance(self.procs, int) and self.procs >= 1),
                  f"procs must be None or an integer >= 1, got {self.procs!r}")

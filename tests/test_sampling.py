@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import local_pivots, select_pivots_bitonic, select_pivots_gather
-from repro.mpi import run_spmd
+from repro.core.sampling import _pivot_positions, select_pivots_bitonic_world
+from repro.machine import EDISON
+from repro.mpi import ColumnarWorld, SimWorld, run_spmd
+from repro.mpi.flatworld import make_world_comms
+
+from .test_backends import _WorldProg
 
 
 class TestLocalPivots:
@@ -100,6 +105,43 @@ class TestPivotSelection:
             return select_pivots_bitonic(comm, pl)
         res = run_spmd(prog, 1)
         assert res.results[0].size == 0
+
+
+def _columnar(p):
+    comms = make_world_comms(SimWorld(p, EDISON))
+    return ColumnarWorld(comms[0]._world), comms
+
+
+class TestColumnarPivots:
+    """The flat engine's pivot path: O(p) assembly, shared allgathers."""
+
+    @pytest.mark.parametrize("p", [2 ** k for k in range(1, 11)])
+    def test_bitonic_world_is_stride_p_of_pooled_samples(self, p):
+        world, comms = _columnar(p)
+        rng = np.random.default_rng(p)
+        pls = [local_pivots(np.sort(rng.integers(0, 50, 64).astype(float)),
+                            p) for _ in range(p)]
+        pgs = select_pivots_bitonic_world(world, comms, pls)
+        want = np.sort(np.concatenate(pls))[_pivot_positions(p)]
+        assert not world.failures
+        for pg in pgs:
+            np.testing.assert_array_equal(pg, want)
+
+    def test_allgather_shares_one_immutable_sequence(self):
+        world, comms = _columnar(16)
+        outs = world.allgather(comms, [c.rank * 3 for c in comms])
+        assert isinstance(outs[0], tuple)
+        assert outs[0] == tuple(r * 3 for r in range(16))
+        assert all(o is outs[0] for o in outs)
+
+    def test_flat_clocks_equal_thread_bitonic_sync_sort(self):
+        """bitonic pivots + sync exchange + sort ordering at p=128."""
+        prog = _WorldProg(500, "uniform", {"tau_o": 128, "tau_s": 128})
+        thread = run_spmd(prog, 128, machine=EDISON)
+        flat = run_spmd(prog, 128, machine=EDISON, backend="flat")
+        assert thread.ok and flat.ok
+        assert flat.clocks == thread.clocks
+        assert flat.results == thread.results
 
 
 class TestOversampling:

@@ -72,6 +72,25 @@ class TestJobSpec:
         with pytest.raises(JobValidationError):
             JobSpec.from_dict(bad)
 
+    @pytest.mark.parametrize("bad, words", [
+        ({"algorithm": "bitonic", "p": 12, "n_per_rank": 100},
+         "power-of-two p"),
+        ({"algorithm": "psrs", "p": 4, "n_per_rank": 0}, "empty shards"),
+    ])
+    def test_engine_rejected_shapes_fail_validation(self, bad, words):
+        with pytest.raises(JobValidationError, match=words):
+            JobSpec(**bad).validate()
+        assert not JobSpec(**bad).run().ok  # what admission now spares
+
+    @pytest.mark.parametrize("ok", [
+        {"algorithm": "psrs", "p": 1, "n_per_rank": 0},
+        {"algorithm": "sds", "p": 8, "n_per_rank": 0},
+        {"algorithm": "bitonic", "p": 16, "n_per_rank": 0},
+    ])
+    def test_engine_accepted_edge_shapes_stay_admitted(self, ok):
+        spec = JobSpec(**ok).validate()
+        assert spec.run().ok
+
     def test_run_is_the_direct_path(self):
         spec = JobSpec(p=8, n_per_rank=300, seed=4)
         r = spec.run()
@@ -230,6 +249,17 @@ class TestServiceLifecycle:
             assert env["status"] == "rejected"
             assert env["admission"]["code"] == "invalid"
             assert "nope" in env["error"]
+
+    @pytest.mark.parametrize("bad", [
+        {"algorithm": "bitonic", "p": 12, "n_per_rank": 100},
+        {"algorithm": "psrs", "p": 4, "n_per_rank": 0},
+    ])
+    def test_engine_rejected_shape_is_invalid_not_failed(self, bad):
+        with ServiceClient() as c:
+            env = c.submit(bad)
+            assert env["status"] == "rejected"
+            assert env["admission"]["code"] == "invalid"
+            assert bad["algorithm"] in env["error"]
 
     def test_over_budget_rejected_typed(self):
         with ServiceClient(mem_budget_bytes=1000) as c:
