@@ -41,7 +41,7 @@ from ..kernels import (
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, FlatAbort, World
-from ..records import RecordBatch, kway_merge_batches
+from ..records import RecordBatch, kway_merge_groups
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
@@ -382,8 +382,15 @@ class NodeMerge:
     ranks_per_node, comm_size)`` input, the consensus allreduce runs
     once per communicator, and the node-level funnelling — two
     communicator splits plus one gather per node — goes through the
-    world's collectives.  Leader merges call ``kway_merge_batches``, so
-    merged batches and cost charges are bit-equal on every backend.
+    world's collectives.  All leaders of one call merge together in
+    :func:`~repro.records.ops.kway_merge_groups` — one stable row-wise
+    argsort per distinct (node length, key dtype, payload schema)
+    bucket, bit-equal to a per-leader ``kway_merge_batches`` — while
+    merge charges and memory accounting replay per leader, so merged
+    batches, clocks and peaks are bit-equal on every backend.  Node
+    memory is pooled: a leader's capacity grows to the node's combined
+    capacity.  Non-leaders share one empty batch per payload schema
+    and one decision list per distinct trace; both are read-only.
     """
 
     def run(self, world: World, ctxs: list[RunContext]) -> None:
@@ -443,6 +450,19 @@ class NodeMerge:
                 for j, i in enumerate(members):
                     if outs[j] is not None:
                         gathered_for[i] = outs[j]
+            leaders = [i for i, ctx in enumerate(ctxs)
+                       if world.alive(ctx.comm) and local_comms[i].rank == 0]
+            try:
+                merged_for = dict(zip(leaders, kway_merge_groups(
+                    [gathered_for[i] for i in leaders])))
+            except BaseException as exc:
+                merged_for = {}
+                for i in leaders:
+                    world.fail(ctxs[i].comm, exc)
+            # non-leader exits share one empty batch per payload schema
+            # and one decision list per distinct trace: read-only
+            empties: dict[tuple, RecordBatch] = {}
+            traces: dict[tuple, list[dict[str, Any]]] = {}
             for i, ctx in enumerate(ctxs):
                 comm = ctx.comm
                 if not world.alive(comm):
@@ -450,16 +470,28 @@ class NodeMerge:
                 local_comm = local_comms[i]
                 if local_comm.rank != 0:
                     comm.mem.free(ctx.input_nbytes)
+                    b = ctx.batch
+                    ekey = (b.keys.dtype, tuple((name, col.dtype) for name, col
+                                                in b.payload.items()))
+                    if ekey not in empties:
+                        empties[ekey] = RecordBatch.empty_like(b)
+                    tkey = tuple(map(id, ctx.plan.trace))
+                    if tkey not in traces:
+                        traces[tkey] = ctx.plan.decisions()
                     ctx.outcome = SortOutcome(
-                        batch=RecordBatch.empty_like(ctx.batch),
+                        batch=empties[ekey],
                         received=0,
                         active=False,
                         info={"node_merged": True, "p_active": 0,
-                              "decisions": ctx.plan.decisions()},
+                              "decisions": traces[tkey]},
                     )
                     continue
+                merged = merged_for[i]
                 try:
-                    merged = kway_merge_batches(gathered_for[i])
+                    # node memory is pooled: the leader holds the node's
+                    # data, within the node's combined capacity
+                    if comm.mem.capacity is not None:
+                        comm.mem.capacity *= local_comm.size
                     comm.charge(
                         comm.cost.merge_time(len(merged),
                                              max(2, local_comm.size))

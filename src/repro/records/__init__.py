@@ -11,6 +11,7 @@ from .batch import (
 from .ops import (
     adaptive_sort_batch,
     kway_merge_batches,
+    kway_merge_groups,
     merge_two_batches,
     sort_batch,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "tag_provenance",
     "adaptive_sort_batch",
     "kway_merge_batches",
+    "kway_merge_groups",
     "merge_two_batches",
     "sort_batch",
 ]
