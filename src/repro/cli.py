@@ -883,8 +883,10 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--p", type=_positive_int, default=16,
                     help="simulated ranks")
     pm.add_argument("--machine", default="edison")
-    pm.add_argument("--backend", default="thread",
-                    choices=["thread", "proc", "hybrid", "flat", "auto"])
+    pm.add_argument("--backend", default="auto",
+                    choices=["thread", "proc", "hybrid", "flat", "auto"],
+                    help="engine (default auto: the flat engine for every "
+                         "registered algorithm)")
     pm.add_argument("--procs", type=_positive_int, default=None)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--mem-factor", type=_positive_float, default=6.7)

@@ -97,9 +97,14 @@ class SimWorld:
 
     def __init__(self, p: int, machine: MachineSpec,
                  mem_capacity: int | None = None,
-                 faults: Any = None, tracer: Any = None):
+                 faults: Any = None, tracer: Any = None,
+                 cancel: Any = None):
         self.p = p
         self.machine = machine
+        #: the run's cancel event, polled by the columnar flat driver at
+        #: phase and collective boundaries (``None`` = no deadline; the
+        #: thread engine watches its event from a side thread instead)
+        self.cancel = cancel
         self.cost = CostModel(machine)
         #: optional :class:`~repro.obs.tracer.Tracer` (None = tracing
         #: off; every hook below is a single attribute check away from

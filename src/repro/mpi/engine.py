@@ -299,6 +299,10 @@ class SpmdResult:
                 for name in sorted(names)}
 
 
+def _cancelled(failures: Sequence[tuple[int, BaseException]]) -> bool:
+    return any(isinstance(exc, RunCancelled) for _, exc in failures)
+
+
 def run_spmd(fn: Callable[..., Any], p: int, *,
              machine: MachineSpec = LAPTOP,
              mem_capacity: int | None = None,
@@ -365,13 +369,15 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         Optional :class:`threading.Event`; when it fires mid-run (a
         service timeout or an explicit cancel), the world aborts and
         the result carries a :class:`RankFailure` whose cause is
-        :class:`RunCancelled`.  Honoured by the thread backend (and the
-        shared p==1 inline path); the proc and flat backends check it
-        only between runs.
+        :class:`RunCancelled`.  The thread backend (and the shared p==1
+        inline path) watches it from a side thread; the flat backend
+        polls it at every phase and collective boundary, so it stops
+        within one phase.  The proc backend does not interrupt a run
+        in flight.
     metrics:
         Optional telemetry sink (duck-typed: ``record_world(backend=,
         p=, cancelled=)``) counting worlds launched per executing
-        backend and cancellations the watcher delivered.  ``None`` —
+        backend and the cancellations that aborted them.  ``None`` —
         the default — is a single ``is None`` check, like ``tracer``:
         clocks and results are bit-for-bit identical either way.
     """
@@ -396,12 +402,18 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
     elif backend == "flat":
         if p > 1:
             from .flatworld import run_spmd_flat
-            if metrics is not None:
-                metrics.record_world(backend="flat", p=p)
-            return run_spmd_flat(
+            res = run_spmd_flat(
                 fn, p, machine=machine, mem_capacity=mem_capacity,
-                args=args, kwargs=kwargs, check=check, faults=faults,
-                tracer=tracer)
+                args=args, kwargs=kwargs, check=False, faults=faults,
+                tracer=tracer, cancel=cancel)
+            if metrics is not None:
+                metrics.record_world(
+                    backend="flat", p=p,
+                    cancelled=(res.failure is not None
+                               and _cancelled(res.failure.failures)))
+            if res.failure is not None and check:
+                raise res.failure from res.failure.cause
+            return res
         # p == 1 shares the inline path below (one rank needs no
         # batching, and the thread path never spawns a thread for it)
     elif backend != "thread":
@@ -469,10 +481,8 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         failures.sort(key=lambda rf: rf[0])
         failure = RankFailure(failures)
     if metrics is not None:
-        metrics.record_world(
-            backend="thread", p=p,
-            cancelled=any(isinstance(exc, RunCancelled)
-                          for _, exc in failures))
+        metrics.record_world(backend="thread", p=p,
+                             cancelled=_cancelled(failures))
     if failure is not None and check:
         raise failure from failure.cause
 

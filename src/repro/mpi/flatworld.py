@@ -32,6 +32,13 @@ next collective boundary (:class:`FlatAbort`, the sequential analogue
 of :class:`~repro.mpi.errors.SimAbort`), while ranks already past
 their last collective complete normally — the same completion pattern
 the thread engine produces when a sibling dies.
+
+Deadlines follow the same path: the run's cancel event is polled at
+every phase and collective boundary, and a fired event is recorded as
+a rank-0 :class:`~repro.mpi.errors.RunCancelled` failure that unwinds
+the world through :class:`FlatAbort`.  Since one boundary covers every
+rank at once, a cancelled run overruns its deadline by at most one
+phase.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import numpy as np
 from ..machine import LAPTOP, MachineSpec
 from .comm import Comm, SimWorld, _max_clock, payload_nbytes, split_contexts
 from .engine import SpmdResult
-from .errors import RankFailure
+from .errors import RankFailure, RunCancelled
 from .world import World
 
 __all__ = [
@@ -95,12 +102,15 @@ class ColumnarWorld(World):
     ``make_world_comms`` and :meth:`split` both construct such lists).
     """
 
-    __slots__ = ("world", "failures", "dead")
+    __slots__ = ("world", "failures", "dead", "cancel")
 
     def __init__(self, world: SimWorld):
         self.world = world
         self.failures: list[tuple[int, BaseException]] = []
         self.dead: set[int] = set()
+        #: the run's cancel event until it fires (then ``None``: the
+        #: recorded ``RunCancelled`` keeps every later collective aborting)
+        self.cancel = world.cancel
 
     # -- fault / abort surface -----------------------------------------
     def fail(self, comm: Comm, exc: BaseException) -> None:
@@ -114,6 +124,15 @@ class ColumnarWorld(World):
         """Abort point: entering a collective with failures pending."""
         if self.failures:
             raise FlatAbort
+        self._poll_cancel()
+
+    def _poll_cancel(self) -> None:
+        cancel = self.cancel
+        if cancel is not None and cancel.is_set():
+            self.cancel = None
+            self.failures.append(
+                (0, RunCancelled("run cancelled while in flight")))
+            raise FlatAbort
 
     def first_live(self, comms: Sequence[Comm], values: Sequence[Any]) -> Any:
         for c, v in zip(comms, values):
@@ -123,6 +142,8 @@ class ColumnarWorld(World):
 
     # -- phase brackets ------------------------------------------------
     def phase(self, comms: Sequence[Comm], name: str) -> phase_all:
+        """Open a phase on every handle; a fired cancel event aborts first."""
+        self._poll_cancel()
         return phase_all(comms, name)
 
     # ------------------------------------------------------------------
@@ -354,7 +375,8 @@ def make_world_comms(world: SimWorld) -> list[Comm]:
 def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
                   mem_capacity: int | None = None, args: tuple = (),
                   kwargs: dict | None = None, check: bool = True,
-                  faults: Any = None, tracer: Any = None) -> SpmdResult:
+                  faults: Any = None, tracer: Any = None,
+                  cancel: Any = None) -> SpmdResult:
     """Flat-backend twin of :func:`repro.mpi.engine.run_spmd`.
 
     ``fn`` must expose ``flat_run(comms, *args, **kwargs) ->
@@ -363,7 +385,9 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
     (``None`` for ranks that failed or were aborted) and ``failures``
     is a list of ``(rank, exception)``.  Programs without a batched
     path cannot run flat — the thread/proc backends accept any rank
-    callable.
+    callable.  ``cancel`` is polled at every phase and collective
+    boundary (see :class:`ColumnarWorld`); an event already set returns
+    a rank-0 ``RunCancelled`` failure before ``flat_run`` is called.
     """
     flat = getattr(fn, "flat_run", None)
     if flat is None:
@@ -372,9 +396,13 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
             f"flat_run(comms); {fn!r} has none "
             "(the thread/proc backends run any rank callable)")
     world = SimWorld(p, machine, mem_capacity=mem_capacity, faults=faults,
-                  tracer=tracer)
+                     tracer=tracer, cancel=cancel)
     comms = make_world_comms(world)
-    results, failures = flat(comms, *args, **(kwargs or {}))
+    if cancel is not None and cancel.is_set():
+        results = [None] * p
+        failures = [(0, RunCancelled("run cancelled before start"))]
+    else:
+        results, failures = flat(comms, *args, **(kwargs or {}))
     failure = None
     if failures:
         failures = sorted(failures, key=lambda rf: rf[0])

@@ -322,8 +322,11 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         injects them here so concurrent jobs reuse rank threads /
         worker interpreters across requests instead of cold-starting.
     cancel: optional :class:`threading.Event`; firing it mid-run aborts
-        the world with a ``RunCancelled`` failure (thread backend; the
-        other backends honour it at run boundaries).
+        the world with a ``RunCancelled`` failure.  The thread backend
+        watches it from a side thread, the flat backend polls it at
+        every phase and collective boundary (at most one phase of
+        overrun); the proc and hybrid backends do not interrupt a
+        run in flight.
     metrics: optional telemetry sink (duck-typed — any object with
         ``record_run`` / ``record_world``, e.g.
         :class:`repro.service.metrics.ServiceMetrics`).  Records the

@@ -86,7 +86,7 @@ class ServiceMetrics:
             labels=("backend",))
         self.engine_cancels = r.counter(
             "sdssort_engine_cancels_total",
-            "Mid-run cancellations the engine's watcher delivered")
+            "Cancellations that aborted an engine world")
 
         self.queue_depth = r.gauge(
             "sdssort_queue_depth",

@@ -17,8 +17,9 @@ Lifecycle (the drain state machine, see ``docs/service.md``)::
 stops the workers; ``close`` additionally shuts the cached pools down.
 Per-job timeouts cancel: expired queued jobs never start, and a
 running job's deadline fires the job's cancel event, which the engine
-turns into a ``RunCancelled`` abort (thread backend) — either way the
-job lands in the ``timeout`` state and releases its admission budget.
+turns into a ``RunCancelled`` abort (thread and flat backends) — either
+way the job lands in the ``timeout`` state and releases its admission
+budget.
 """
 
 from __future__ import annotations

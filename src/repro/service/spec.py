@@ -57,6 +57,12 @@ class JobSpec:
     kwargs, e.g. ``{"alpha": 0.9}`` for zipf) so the spec stays a pure
     value that serialises losslessly — each run rebuilds the workload
     deterministically from ``(name, opts, seed)``.
+
+    The one default that differs is ``backend``: ``"auto"`` here, so
+    every registered algorithm is served on the columnar flat engine,
+    against ``"thread"`` for ``run_sort``, whose default stays the
+    reference engine the tests compare against.  Results are
+    bit-identical either way; only the ``engine`` block differs.
     """
 
     algorithm: str = "sds"
@@ -64,7 +70,7 @@ class JobSpec:
     workload_opts: dict[str, Any] = field(default_factory=dict)
     p: int = 16
     n_per_rank: int = 2000
-    backend: str = "thread"
+    backend: str = "auto"
     procs: int | None = None
     machine: str = "edison"
     seed: int = 0

@@ -59,17 +59,38 @@ def _powerlaw_cluster_sizes(n: int, delta: float, rng: np.random.Generator,
     Friends-of-friends cluster mass functions are steep power laws; we
     draw Pareto-distributed sizes, then rescale the largest cluster to
     hit the paper's replication ratio exactly.
+
+    After the largest come ``min(largest, int(3 * pareto + 1))`` draws
+    until they cover ``n``, the last one clipped.  How many draws that
+    takes is known only once they are summed, so they are drawn in
+    growing chunks, then the stream is rewound and exactly the draws
+    used are taken again: the shuffle and payload draws that follow
+    see the stream where one scalar draw per cluster would leave it.
     """
+    if n <= 0:
+        return np.zeros(0, dtype=np.int64)
     largest = max(1, int(round(delta * n)))
-    sizes = [largest]
     remaining = n - largest
-    while remaining > 0:
-        # Pareto tail capped at the largest cluster
-        s = int(min(largest, max(1, rng.pareto(exponent - 1.0) * 3.0 + 1.0)))
-        s = min(s, remaining)
-        sizes.append(s)
-        remaining -= s
-    return np.asarray(sizes, dtype=np.int64)
+    if remaining == 0:
+        return np.asarray([largest], dtype=np.int64)
+    shape = exponent - 1.0
+
+    def draw(count: int) -> np.ndarray:
+        tail = rng.pareto(shape, size=count) * 3.0 + 1.0
+        return np.minimum(largest, tail).astype(np.int64)
+
+    state = rng.bit_generator.state
+    chunks, total, chunk = [], 0, max(16, remaining // 2)
+    while total < remaining:
+        chunks.append(draw(chunk))
+        total += int(chunks[-1].sum())
+        chunk *= 2
+    ends = np.cumsum(np.concatenate(chunks))
+    used = int(np.searchsorted(ends, remaining)) + 1
+    rng.bit_generator.state = state
+    sizes = np.concatenate(([largest], draw(used)))
+    sizes[-1] -= int(ends[used - 1]) - remaining
+    return sizes
 
 
 def cosmology_batch(n: int, rng: np.random.Generator, *,

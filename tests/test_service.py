@@ -345,7 +345,7 @@ class TestServiceLifecycle:
 
     def test_stats_shape(self):
         with ServiceClient() as c:
-            c.run(JobSpec(p=8, n_per_rank=200))
+            c.run(JobSpec(p=8, n_per_rank=200, backend="thread"))
             st = c.stats()
             assert st["state"] == "accepting"
             assert st["counts"]["done"] == 1
@@ -355,7 +355,7 @@ class TestServiceLifecycle:
 
 class TestWarmPools:
     def test_warm_rerun_hits_cache_and_matches(self):
-        spec = JobSpec(p=8, n_per_rank=400, seed=5)
+        spec = JobSpec(p=8, n_per_rank=400, seed=5, backend="thread")
         with ServiceClient(workers=1) as c:
             first = c.run(spec)
             second = c.run(spec)

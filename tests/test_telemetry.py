@@ -502,8 +502,8 @@ class TestDeterminism:
 class TestEngineBoundary:
     def test_worlds_and_runs_by_backend(self):
         with ServiceClient(workers=1) as c:
-            assert c.run(JobSpec(p=8, n_per_rank=200, seed=1)
-                         )["status"] == "done"
+            assert c.run(JobSpec(p=8, n_per_rank=200, backend="thread",
+                                 seed=1))["status"] == "done"
             assert c.run(JobSpec(p=8, n_per_rank=200, backend="flat",
                                  seed=2))["status"] == "done"
             assert c.run(JobSpec(p=8, n_per_rank=200, backend="hybrid",
@@ -670,7 +670,8 @@ class TestMetricsProtocol:
 class TestTopRenderer:
     def test_frame_renders_all_sections(self):
         with ServiceClient(workers=1) as c:
-            c.run(JobSpec(p=8, n_per_rank=250, seed=1, trace=True))
+            c.run(JobSpec(p=8, n_per_rank=250, seed=1, trace=True,
+                          backend="thread"))
             c.submit(_big_spec())
             frame = "\n".join(top_lines(c.stats(),
                                         metrics_doc(c.service)))

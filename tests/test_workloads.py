@@ -140,3 +140,64 @@ class TestCosmology:
         """Key + 6 float32 payload: position and velocity."""
         b = cosmology().generate(10, seed=0)
         assert b.record_bytes == 8 + 6 * 4
+
+
+def _loop_cluster_sizes(n, delta, rng, exponent=2.2):
+    """The one-scalar-draw-per-cluster loop the vectorised sizes replace."""
+    largest = max(1, int(round(delta * n)))
+    sizes = [largest]
+    remaining = n - largest
+    while remaining > 0:
+        s = int(min(largest, max(1, rng.pareto(exponent - 1.0) * 3.0 + 1.0)))
+        s = min(s, remaining)
+        sizes.append(s)
+        remaining -= s
+    return np.asarray(sizes, dtype=np.int64)
+
+
+class TestExactSamplers:
+    """The vectorised generators draw exactly what the scalar ones did:
+    same values, and the stream left at the same position."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 137, 2000, 10_000])
+    @pytest.mark.parametrize("delta", [COSMO_DELTA, 0.3])
+    def test_cluster_sizes_match_scalar_loop(self, n, delta):
+        from repro.workloads.science import _powerlaw_cluster_sizes
+
+        for seed in range(25):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _loop_cluster_sizes(n, delta, old)
+            got = _powerlaw_cluster_sizes(n, delta, new)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.sum() == n
+            assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.1])
+    @pytest.mark.parametrize("n", [0, 1, 2000, 10_000])
+    def test_zipf_matches_generator_choice(self, alpha, n):
+        from repro.workloads.synthetic import ZIPF_UNIVERSE, zipf_batch
+
+        pmf = zipf_pmf(alpha)
+        for seed in range(40):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = old.choice(ZIPF_UNIVERSE, size=n, p=pmf).astype(np.float64)
+            got = zipf_batch(n, new, alpha=alpha).keys
+            assert np.array_equal(got, want)
+            assert new.bit_generator.state == old.bit_generator.state
+
+    def test_zipf_table_is_cached_read_only(self):
+        from repro.workloads.synthetic import _zipf_table
+
+        cdf, guide = _zipf_table(0.7, 100)
+        assert _zipf_table(0.7, 100)[0] is cdf
+        assert not cdf.flags.writeable and not guide.flags.writeable
+        assert cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("backend", ["thread", "flat"])
+def test_cosmology_sorts_empty_shards(backend):
+    from repro.runner import run_sort
+
+    r = run_sort("sds", cosmology(), n_per_rank=0, p=4, backend=backend)
+    assert r.ok, r.failure
+    assert r.loads == [0, 0, 0, 0]
